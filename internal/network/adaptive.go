@@ -91,7 +91,11 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 		t.hostPort[hi] = swPort
 	}
 	// Per destination host: BFS switch distances over surviving links, then
-	// candidates (strictly distance-decreasing ports) and escape routes.
+	// candidates (strictly distance-decreasing ports).  needEscape marks the
+	// slots that get an escape route: switches other than the attach switch
+	// that it reaches over surviving links.  A detected failure set can be
+	// one-sided, so an up*/down* route existing does not imply this.
+	needEscape := make([]bool, len(t.escape))
 	dist := make([]int, len(g.Nodes))
 	queue := make([]topology.NodeID, 0, len(g.Nodes))
 	for hi, h := range hosts {
@@ -138,8 +142,18 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 			}
 			slot := int(sw)*t.nh + hi
 			t.cands[slot] = cs
-			rt, err := ud.RouteFromSwitch(sw, h)
-			if err != nil {
+			needEscape[slot] = true
+		}
+	}
+	// Escape routes: one up*/down* walk per switch serves every host.
+	for _, sw := range g.Switches() {
+		rts, err := ud.RoutesFromSwitch(sw)
+		if err != nil {
+			continue // outside the routed component: no escapes from here
+		}
+		for hi, rt := range rts {
+			slot := int(sw)*t.nh + hi
+			if !needEscape[slot] || len(rt.Ports) == 0 {
 				continue // unreachable by up/down: escape stays nil
 			}
 			for _, p := range rt.Ports {
@@ -147,12 +161,12 @@ func NewAdaptiveTable(g *topology.Graph, ud *updown.Routing) (*AdaptiveTable, er
 					// Escape bytes ride a VC-headered fabric as plain lane-0
 					// bytes, so they must stay below the vc<<6 encoding space.
 					return nil, fmt.Errorf("network: escape route %d->%d uses port %d > %d",
-						sw, h, p, route.MaxVCPort)
+						sw, hosts[hi], p, route.MaxVCPort)
 				}
 			}
 			esc, err := route.EncodeUnicast(rt.Ports)
 			if err != nil {
-				return nil, fmt.Errorf("network: escape route %d->%d: %w", sw, h, err)
+				return nil, fmt.Errorf("network: escape route %d->%d: %w", sw, hosts[hi], err)
 			}
 			t.escape[slot] = esc
 		}

@@ -206,32 +206,7 @@ func (r *Routing) Reachable(h topology.NodeID) bool {
 // failing the whole table the way NewTable does.  Use Table.HasRoute to
 // test a pair before Lookup.
 func (r *Routing) NewTableSurviving(treeOnly bool) (*Table, error) {
-	hosts := r.G.Hosts()
-	t := &Table{Hosts: hosts, index: make(map[topology.NodeID]int, len(hosts))}
-	for i, h := range hosts {
-		t.index[h] = i
-	}
-	t.routes = make([][]Route, len(hosts))
-	for i, src := range hosts {
-		t.routes[i] = make([]Route, len(hosts))
-		if !r.Reachable(src) {
-			continue
-		}
-		for j, dst := range hosts {
-			if i == j || !r.Reachable(dst) {
-				continue
-			}
-			rt, err := r.route(src, dst, treeOnly)
-			if err != nil {
-				// Reachable endpoints in the same component always route
-				// (up to the common root works); cross-component pairs are
-				// simply absent.
-				continue
-			}
-			t.routes[i][j] = rt
-		}
-	}
-	return t, nil
+	return r.newTable(treeOnly, true)
 }
 
 // HasRoute reports whether the table holds a route from src to dst.

@@ -142,149 +142,208 @@ type Route struct {
 // Hops returns the number of switch traversals on the route.
 func (rt Route) Hops() int { return len(rt.Ports) }
 
-// routeState is a node plus the "have we gone down yet" phase of the
-// up*/down* walk.
-type routeState struct {
-	node topology.NodeID
-	down bool
+// walk is one breadth-first search of the up*/down* state graph from a
+// source switch, run to completion.  A state is a switch plus the phase of
+// the walk (still allowed to go up, or gone down), indexed node*2+phase.
+//
+// first[n] is the state at which switch n was first discovered.  Ports are
+// scanned in index order and the queue is FIFO, so that is exactly the state
+// a search for n alone would stop at: every route read back from one walk is
+// the shortest legal walk to its switch, with the same deterministic
+// tie-break among equal-length routes.  One walk therefore serves every
+// route leaving its source switch, and its scratch is reused from one source
+// to the next.
+type walk struct {
+	r        *Routing
+	treeOnly bool
+	start    topology.NodeID // source switch of the last run; None before any
+	st       []walkState
+	first    []int32 // per node: first state discovered there, -1 if none
+	queue    []int32
 }
 
-// Route computes a shortest legal up*/down* route from host src to host
+type walkState struct {
+	prev  int32           // predecessor state; -1 at the origin
+	depth int32           // switch hops from the origin; -1 while undiscovered
+	port  topology.PortID // port taken out of the predecessor
+}
+
+// newWalk allocates walk scratch sized for r's topology.  treeOnly
+// restricts the walk to spanning-tree links, the crosslink-free discipline
+// required by the switch-level multicast scheme of Section 3.
+func (r *Routing) newWalk(treeOnly bool) *walk {
+	n := len(r.G.Nodes)
+	return &walk{
+		r:        r,
+		treeOnly: treeOnly,
+		start:    topology.None,
+		st:       make([]walkState, 2*n),
+		first:    make([]int32, n),
+		queue:    make([]int32, 0, 2*n),
+	}
+}
+
+// from runs the walk from switch start, starting in the up phase exactly as
+// a freshly injected worm's route does.
+func (w *walk) from(start topology.NodeID) {
+	r, g := w.r, w.r.G
+	w.start = start
+	for i := range w.st {
+		w.st[i].depth = -1
+	}
+	for i := range w.first {
+		w.first[i] = -1
+	}
+	origin := int32(start) * 2
+	w.st[origin] = walkState{prev: -1, depth: 0, port: topology.NoPort}
+	w.first[start] = origin
+	w.queue = append(w.queue[:0], origin)
+	for qi := 0; qi < len(w.queue); qi++ {
+		cur := w.queue[qi]
+		node, down := topology.NodeID(cur/2), cur%2 == 1
+		for pi, p := range g.Node(node).Ports {
+			if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
+				continue
+			}
+			if w.treeOnly && !r.inTree[node][pi] {
+				continue
+			}
+			if r.fail.LinkDead(g, node, topology.PortID(pi)) {
+				continue
+			}
+			up := r.IsUp(node, topology.PortID(pi))
+			if down && up {
+				continue // down->up transition is illegal
+			}
+			next := int32(p.Peer) * 2
+			if down || !up {
+				next++
+			}
+			if w.st[next].depth >= 0 {
+				continue
+			}
+			w.st[next] = walkState{prev: cur, depth: w.st[cur].depth + 1, port: topology.PortID(pi)}
+			if w.first[p.Peer] < 0 {
+				w.first[p.Peer] = next
+			}
+			w.queue = append(w.queue, next)
+		}
+	}
+}
+
+// hops returns the port count of the route from the walk's source switch to
+// host dst, or 0 when no legal walk reaches dst's switch.
+func (w *walk) hops(dst topology.NodeID) int {
+	sw, _ := w.r.G.HostAttachment(dst)
+	if w.first[sw] < 0 {
+		return 0
+	}
+	return int(w.st[w.first[sw]].depth) + 1
+}
+
+// hostHops is hops for the route from host src (attached to the walk's
+// source switch) to host dst, with route's error for an unroutable pair.
+func (w *walk) hostHops(src, dst topology.NodeID) (int, error) {
+	r := w.r
+	if r.fail != nil && (!r.Reachable(src) || !r.Reachable(dst)) {
+		return 0, fmt.Errorf("updown: no surviving route from host %d to host %d", src, dst)
+	}
+	n := w.hops(dst)
+	if n == 0 {
+		return 0, fmt.Errorf("updown: no legal route from host %d to host %d (treeOnly=%v)",
+			src, dst, w.treeOnly)
+	}
+	return n, nil
+}
+
+// routeTo reads the route to host dst back from the walk into ports and
+// sws, which must both have length hops(dst).
+func (w *walk) routeTo(src, dst topology.NodeID, ports []topology.PortID, sws []topology.NodeID) Route {
+	sw, hostPort := w.r.G.HostAttachment(dst)
+	last := len(ports) - 1
+	ports[last], sws[last] = hostPort, sw
+	for s, i := w.first[sw], last-1; i >= 0; s, i = w.st[s].prev, i-1 {
+		ports[i] = w.st[s].port
+		sws[i] = topology.NodeID(w.st[s].prev / 2)
+	}
+	return Route{Src: src, Dst: dst, Ports: ports, Switches: sws}
+}
+
+// fillRow sets row[j] to the route from src to hosts[j] for every j with
+// lens[j] > 0, where lens[j] is that route's hops.
+// Every route of the row is carved from one exactly sized backing array
+// per field, capped so that an append to one route cannot run into the
+// next.  Sizing up front matters: growing the arrays would leave earlier
+// routes pinning every outgrown copy.
+func (w *walk) fillRow(src topology.NodeID, hosts []topology.NodeID, lens []int, row []Route) {
+	total := 0
+	for _, n := range lens {
+		total += n
+	}
+	ports := make([]topology.PortID, total)
+	sws := make([]topology.NodeID, total)
+	off := 0
+	for j, n := range lens {
+		if n == 0 {
+			continue
+		}
+		end := off + n
+		row[j] = w.routeTo(src, hosts[j], ports[off:end:end], sws[off:end:end])
+		off = end
+	}
+}
+
+// route computes a shortest legal up*/down* route from host src to host
 // dst.  Among equal-length routes the choice is deterministic (the paper's
 // simulation likewise fixes one path per source-destination pair).
-// treeOnly restricts the walk to spanning-tree links, the crosslink-free
-// discipline required by the switch-level multicast scheme of Section 3.
 func (r *Routing) route(src, dst topology.NodeID, treeOnly bool) (Route, error) {
 	g := r.G
 	if g.Node(src).Kind != topology.Host || g.Node(dst).Kind != topology.Host {
 		return Route{}, fmt.Errorf("updown: route endpoints must be hosts (got %s, %s)",
 			g.Node(src).Kind, g.Node(dst).Kind)
 	}
-	sSrc, _ := g.HostAttachment(src)
 	if src == dst {
 		return Route{}, fmt.Errorf("updown: route to self (host %d)", src)
 	}
-	if r.fail != nil && (!r.Reachable(src) || !r.Reachable(dst)) {
-		return Route{}, fmt.Errorf("updown: no surviving route from host %d to host %d", src, dst)
-	}
-	rt, err := r.routeFrom(sSrc, dst, treeOnly)
+	w := r.newWalk(treeOnly)
+	sSrc, _ := g.HostAttachment(src)
+	w.from(sSrc)
+	n, err := w.hostHops(src, dst)
 	if err != nil {
-		return Route{}, fmt.Errorf("updown: no legal route from host %d to host %d (treeOnly=%v)",
-			src, dst, treeOnly)
+		return Route{}, err
 	}
-	rt.Src = src
-	return rt, nil
+	return w.routeTo(src, dst, make([]topology.PortID, n), make([]topology.NodeID, n)), nil
 }
 
-// RouteFromSwitch computes a shortest legal up*/down* route from a switch to
-// a host, starting in the up phase exactly as a freshly injected worm's walk
-// would.  Adaptive routing uses these as escape routes: a worm that wandered
-// off the up/down order on the adaptive lanes re-enters it here, and because
-// every escape-resident worm then only holds and waits on lane-0 channels of
-// one legal walk, the union of waits stays acyclic.  The returned Route has
-// Src set to the switch, so it must not be fed to VerifyRoute (which expects
-// host endpoints).
-func (r *Routing) RouteFromSwitch(sw, dst topology.NodeID) (Route, error) {
-	g := r.G
-	if g.Node(sw).Kind != topology.Switch || g.Node(dst).Kind != topology.Host {
-		return Route{}, fmt.Errorf("updown: RouteFromSwitch wants (switch, host), got (%s, %s)",
-			g.Node(sw).Kind, g.Node(dst).Kind)
+// RoutesFromSwitch computes, from one walk, the shortest legal up*/down*
+// route from switch sw to every host of the topology (in Hosts order),
+// starting in the up phase exactly as a freshly injected worm's walk would.
+// Entries for hosts that cannot be reached are empty.  Adaptive routing
+// uses these as escape routes: a worm that wandered off the up/down order
+// on the adaptive lanes re-enters it here, and because every
+// escape-resident worm then only holds and waits on lane-0 channels of one
+// legal walk, the union of waits stays acyclic.  The returned routes have
+// Src set to the switch, so they must not be fed to VerifyRoute (which
+// expects host endpoints).
+func (r *Routing) RoutesFromSwitch(sw topology.NodeID) ([]Route, error) {
+	if r.G.Node(sw).Kind != topology.Switch {
+		return nil, fmt.Errorf("updown: RoutesFromSwitch wants a switch, got a %s", r.G.Node(sw).Kind)
 	}
 	if r.Level[sw] < 0 {
-		return Route{}, fmt.Errorf("updown: switch %d is not in the routed component", sw)
+		return nil, fmt.Errorf("updown: switch %d is not in the routed component", sw)
 	}
-	if r.fail != nil && !r.Reachable(dst) {
-		return Route{}, fmt.Errorf("updown: host %d unreachable", dst)
-	}
-	return r.routeFrom(sw, dst, false)
-}
-
-// routeFrom is the BFS core shared by host-to-host routing and escape-route
-// computation: a shortest legal up*/down* walk from switch start to host dst.
-func (r *Routing) routeFrom(start, dst topology.NodeID, treeOnly bool) (Route, error) {
-	g := r.G
-	sSrc := start
-	sDst, dstPortOnSwitch := g.HostAttachment(dst)
-	if sSrc == sDst {
-		// Single-switch route: one port, straight to the destination host.
-		return Route{Src: start, Dst: dst,
-			Ports:    []topology.PortID{dstPortOnSwitch},
-			Switches: []topology.NodeID{sSrc}}, nil
-	}
-	// BFS over (switch, phase).  Phase false = still allowed to go up.
-	// States index a flat array (node*2 + phase) instead of a map: the
-	// state space is dense and small, and route runs once per injected
-	// worm, so hashing dominated it.
-	type prevHop struct {
-		state routeState
-		port  topology.PortID
-	}
-	idx := func(s routeState) int {
-		i := int(s.node) * 2
-		if s.down {
-			i++
-		}
-		return i
-	}
-	prev := make([]prevHop, 2*len(g.Nodes))
-	seen := make([]bool, 2*len(g.Nodes))
-	origin := routeState{sSrc, false}
-	seen[idx(origin)] = true
-	queue := make([]routeState, 0, len(g.Nodes))
-	queue = append(queue, origin)
-	var goal routeState
-	found := false
-	for qi := 0; qi < len(queue) && !found; qi++ {
-		cur := queue[qi]
-		for pi, p := range g.Node(cur.node).Ports {
-			if !p.Wired() || g.Node(p.Peer).Kind != topology.Switch {
-				continue
-			}
-			if treeOnly && !r.inTree[cur.node][pi] {
-				continue
-			}
-			if r.fail.LinkDead(g, cur.node, topology.PortID(pi)) {
-				continue
-			}
-			up := r.IsUp(cur.node, topology.PortID(pi))
-			if cur.down && up {
-				continue // down->up transition is illegal
-			}
-			next := routeState{p.Peer, cur.down || !up}
-			if seen[idx(next)] {
-				continue
-			}
-			seen[idx(next)] = true
-			prev[idx(next)] = prevHop{state: cur, port: topology.PortID(pi)}
-			if p.Peer == sDst {
-				goal = next
-				found = true
-				break
-			}
-			queue = append(queue, next)
+	w := r.newWalk(false)
+	w.from(sw)
+	hosts := r.G.Hosts()
+	lens := make([]int, len(hosts))
+	for j, h := range hosts {
+		if r.fail == nil || r.Reachable(h) {
+			lens[j] = w.hops(h)
 		}
 	}
-	if !found {
-		return Route{}, fmt.Errorf("updown: no legal route from switch %d to host %d (treeOnly=%v)",
-			start, dst, treeOnly)
-	}
-	// Walk back from goal to start.
-	var ports []topology.PortID
-	var sws []topology.NodeID
-	for cur := goal; cur != origin; {
-		h := prev[idx(cur)]
-		ports = append(ports, h.port)
-		sws = append(sws, h.state.node)
-		cur = h.state
-	}
-	// Reverse into forward order.
-	for i, j := 0, len(ports)-1; i < j; i, j = i+1, j-1 {
-		ports[i], ports[j] = ports[j], ports[i]
-		sws[i], sws[j] = sws[j], sws[i]
-	}
-	ports = append(ports, dstPortOnSwitch)
-	sws = append(sws, sDst)
-	return Route{Src: start, Dst: dst, Ports: ports, Switches: sws}, nil
+	row := make([]Route, len(hosts))
+	w.fillRow(sw, hosts, lens, row)
+	return row, nil
 }
 
 // Route computes a shortest legal up*/down* route between two hosts.
@@ -306,24 +365,49 @@ type Table struct {
 
 // NewTable builds a route table over all hosts of the topology.
 func (r *Routing) NewTable(treeOnly bool) (*Table, error) {
+	return r.newTable(treeOnly, false)
+}
+
+// newTable builds the all-pairs table with one walk per source switch.
+// With surviving set, pairs without a route are left empty (see
+// NewTableSurviving); otherwise the first such pair fails the build.
+func (r *Routing) newTable(treeOnly, surviving bool) (*Table, error) {
 	hosts := r.G.Hosts()
 	t := &Table{Hosts: hosts, index: make(map[topology.NodeID]int, len(hosts))}
 	for i, h := range hosts {
 		t.index[h] = i
 	}
 	t.routes = make([][]Route, len(hosts))
+	w := r.newWalk(treeOnly)
+	lens := make([]int, len(hosts))
 	for i, src := range hosts {
 		t.routes[i] = make([]Route, len(hosts))
+		if surviving && !r.Reachable(src) {
+			continue
+		}
+		// Builders number a switch's hosts consecutively, so re-walking
+		// only on a change of source switch walks each switch once.
+		if sw, _ := r.G.HostAttachment(src); sw != w.start {
+			w.from(sw)
+		}
 		for j, dst := range hosts {
-			if i == j {
+			lens[j] = 0
+			if j == i || surviving && !r.Reachable(dst) {
 				continue
 			}
-			rt, err := r.route(src, dst, treeOnly)
+			n, err := w.hostHops(src, dst)
 			if err != nil {
+				if surviving {
+					// Reachable endpoints in the same component always
+					// route (up to the common root works); cross-component
+					// pairs are simply absent.
+					continue
+				}
 				return nil, err
 			}
-			t.routes[i][j] = rt
+			lens[j] = n
 		}
+		w.fillRow(src, hosts, lens, t.routes[i])
 	}
 	return t, nil
 }

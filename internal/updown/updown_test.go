@@ -379,17 +379,3 @@ func TestExplicitRoot(t *testing.T) {
 		t.Fatal("explicit root not honoured")
 	}
 }
-
-func BenchmarkRouteTable8x8(b *testing.B) {
-	g := topology.Torus(8, 8, 1, 1)
-	r, err := New(g, topology.None)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.NewTable(false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
